@@ -34,9 +34,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT_DIR = ROOT / ".perfbench"
-#: Cold set-ups measured per untraced run; ``setup_s`` is the median of
-#: their drift-corrected times.
-SETUP_PROBES = 3
+#: Cold set-ups measured per untraced run, spread evenly over its request
+#: stream so that they sample the machine's speed over the whole run;
+#: ``setup_s`` is the median of their drift-corrected times.
+SETUP_PROBES = 7
 #: Tail percentiles tried, highest first; the first with at least
 #: ``TAIL_MIN_BEYOND`` samples above it is reported as ``latency_tail_s``.
 TAIL_LADDER = (0.999, 0.99, 0.95, 0.90, 0.75)
@@ -310,9 +311,9 @@ def drift_factor(probes) -> float:
 def speed_probe() -> float:
     """Seconds for a fixed pure-Python job of dict and integer operations.
 
-    Run before and after every timed request, and three times after each
-    set-up probe; each timing is divided by the :func:`drift_factor` of
-    the probes around it.
+    Run before and after every timed request; each timing, set-up probes
+    included, is divided by the :func:`drift_factor` of the probes of the
+    requests around it.
     """
     start = time.perf_counter()
     terms: dict[int, int] = {}
@@ -349,7 +350,7 @@ def cliff(sorted_values: list[float], q: float) -> float:
     return high / low
 
 
-def end_to_end(samples: list[dict], workload, setup_s: float,
+def end_to_end(samples: list[dict], setups: list[dict], workload,
                peak_rss_mb: float) -> tuple[dict, dict]:
     count = len(samples)
     errors = sum(sample["outcome"] == "error" for sample in samples)
@@ -357,6 +358,11 @@ def end_to_end(samples: list[dict], workload, setup_s: float,
     for index, sample in enumerate(samples):
         window = probes[max(0, index - DRIFT_WINDOW):index + DRIFT_WINDOW + 1]
         sample["corrected_s"] = sample["latency_s"] / drift_factor(window)
+    for setup in setups:
+        # The requests just before and after the set-up probe.
+        index = setup["index"]
+        window = probes[max(0, index - DRIFT_WINDOW):index + DRIFT_WINDOW]
+        setup["corrected_s"] = setup["setup_s"] / drift_factor(window)
     decided = [s for s in samples if s["outcome"] in ("verified", "refuted")]
     within = sum(s["corrected_s"] <= workload.latency_limit_s for s in decided)
     tail_q = tail_quantile(count)
@@ -369,7 +375,7 @@ def end_to_end(samples: list[dict], workload, setup_s: float,
 
     corrected = sorted(sample["corrected_s"] for sample in samples)
     values = {
-        "setup_s": setup_s,
+        "setup_s": statistics.median(s["corrected_s"] for s in setups),
         **timings("corrected_s"),
         "decided_share": len(decided) / count,
         "within_limit_share": within / count,
@@ -383,7 +389,8 @@ def end_to_end(samples: list[dict], workload, setup_s: float,
         "tail_cliff": cliff(corrected, tail_q),
         "latency_limit_s": workload.latency_limit_s,
         "drift_factor": drift_factor(s["probe_s"] for s in samples),
-        "raw": timings("latency_s"),
+        "raw": {"setup_s": statistics.median(s["setup_s"] for s in setups),
+                **timings("latency_s")},
     }
     return values, details
 
@@ -391,8 +398,8 @@ def end_to_end(samples: list[dict], workload, setup_s: float,
 # -- set-up -------------------------------------------------------------------
 
 def set_up(workload):
-    """Inputs, the system under test, and one warm-up request per class."""
-    pool, warmups = workload.build()
+    """The system under test, after one warm-up request per class."""
+    warmups = workload.warmups()
     target = Server() if workload.transport == "http" else InProcess()
     try:
         for request in warmups:
@@ -400,12 +407,12 @@ def set_up(workload):
     except BaseException:
         target.close()
         raise
-    return pool, target
+    return target
 
 
-def probe_setup(args) -> tuple[float, float]:
-    """Seconds from spawning a fresh benchmark process until it is ready,
-    and the drift factor the process measured right after."""
+def probe_setup(args) -> float:
+    """Seconds from spawning a fresh benchmark process until it is ready:
+    imports, service or server boot, and the warm-ups (:func:`set_up`)."""
     command = [sys.executable, str(Path(__file__).resolve()),
                "--workload", args.workload, "--seed", str(args.seed),
                "--seconds", str(args.seconds), "--trace", "0", "--setup-only"]
@@ -420,11 +427,10 @@ def probe_setup(args) -> tuple[float, float]:
                 break
         else:
             raise RuntimeError("set-up probe exited before it was ready")
-        drift = float(child.stdout.readline())
         child.stdout.read()
         if child.wait(timeout=60) != 0:
             raise RuntimeError("set-up probe failed")
-        return elapsed, drift
+        return elapsed
     finally:
         if child.poll() is None:
             child.kill()
@@ -433,9 +439,14 @@ def probe_setup(args) -> tuple[float, float]:
 
 # -- runs -----------------------------------------------------------------------
 
-def timed_run(stream, target) -> list[dict]:
-    samples = []
+def timed_run(stream, target, probe) -> tuple[list[dict], list[dict]]:
+    """The timed requests, and ``SETUP_PROBES`` calls of ``probe`` (a cold
+    set-up) spread evenly between them."""
+    samples, setups = [], []
+    due = {round(i * len(stream) / SETUP_PROBES) for i in range(SETUP_PROBES)}
     for index, request in enumerate(stream):
+        if index in due:
+            setups.append({"index": index, "setup_s": probe()})
         before = speed_probe()
         start = time.perf_counter()
         answer = target.send(request)
@@ -445,7 +456,7 @@ def timed_run(stream, target) -> list[dict]:
         samples.append({"index": index, "rid": request.rid,
                         "outcome": outcome, "latency_s": latency,
                         "error": answer.error, "probe_s": (before + after) / 2})
-    return samples
+    return samples, setups
 
 
 def _fingerprint(rid: str, certificate_requested: bool, answer: Answer,
@@ -560,7 +571,7 @@ def per_layer(tracer, rows, fingerprints) -> dict:
         "certify.check_s": mean_time("certify.check"),
         "certify.bytes": (sum(certificates) / len(certificates)
                           if certificates else 0.0),
-        "certify.failures": sum(f["certify.failed"] for f in fingerprints),
+        "certify.failures": mean_count("certify.failed"),
         "service.overhead_s": mean_time("service.submit"),
         "server.transport_s": statistics.median(r["transport_s"] for r in rows),
         "server.response_bytes": sum(r["response_bytes"] for r in rows) / count,
@@ -597,9 +608,6 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-only", action="store_true",
                         help=argparse.SUPPRESS)
-    parser.add_argument("--requests", type=int, default=None,
-                        help="send only the first N requests of the stream "
-                             "(quick checks; not a benchmark run)")
     args = parser.parse_args(argv)
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     # One CPU for this process and everything it starts (the server, the
@@ -616,32 +624,30 @@ def main(argv=None) -> int:
                      f"expected one of {sorted(WORKLOADS)}")
 
     if args.setup_only:
-        _, target = set_up(workload)
+        target = set_up(workload)
         print(READY, flush=True)
-        print(drift_factor(speed_probe() for _ in range(3)), flush=True)
         target.close()
         return 0
 
-    probes = ([] if args.trace else
-              [probe_setup(args) for _ in range(SETUP_PROBES)])
     start = time.perf_counter()
-    pool, target = set_up(workload)
+    target = set_up(workload)
     own_setup_s = time.perf_counter() - start
-    passes = workload.passes(args.seconds)
-    stream = schedule(pool, passes, f"{workload.name}/{args.seed}")
-    if args.trace:
-        # Each traced request is sent two or three times (see traced_run),
-        # so the traced run takes at most one pass and half the stream.
-        stream = stream[:min(len(pool), max(1, len(stream) // 2))]
-    if args.requests is not None:
-        stream = stream[:args.requests]
+    try:
+        pool = workload.pool()
+    except BaseException:
+        target.close()
+        raise
+    passes = 1 if args.trace else workload.passes(args.seconds)
+    stream = schedule(pool[::workload.traced_stride] if args.trace else pool,
+                      passes, f"{workload.name}/{args.seed}")
     OUT_DIR.mkdir(exist_ok=True)
     try:
         if args.trace:
             tracer, rows, fingerprints = traced_run(stream, target)
             peak_rss = 0.0
         else:
-            samples = timed_run(stream, target)
+            samples, setups = timed_run(stream, target,
+                                        lambda: probe_setup(args))
             peak_rss = target.peak_rss_mb()
     except WrongVerdict as error:
         print(f"perfbench: WRONG VERDICT: {error}", file=sys.stderr)
@@ -652,13 +658,13 @@ def main(argv=None) -> int:
         target.close()
 
     print(f"perfbench {workload.name}: seed {args.seed}, {passes} pass(es) of "
-          f"{len(pool)} requests, {len(stream)} sent one at a time"
-          + (" (the start of the stream, traced)" if args.trace else ""))
+          f"{len(stream) // passes} requests, {len(stream)} sent one at a time"
+          + (", traced" if args.trace else ""))
     if args.trace:
         metrics, detail, failed = _report_traced(workload, args.seed, tracer,
                                                  rows, fingerprints)
     else:
-        metrics, detail, failed = _report_timed(workload, samples, probes,
+        metrics, detail, failed = _report_timed(workload, samples, setups,
                                                 own_setup_s, peak_rss)
     print("metrics:")
     _print_metrics(metrics)
@@ -686,14 +692,13 @@ def _report_traced(workload, seed, tracer, rows, fingerprints):
     return metrics, detail, sum(f["outcome"] == "error" for f in fingerprints)
 
 
-def _report_timed(workload, samples, probes, own_setup_s, peak_rss):
-    setup_s = statistics.median(seconds / drift for seconds, drift in probes)
-    values, detail = end_to_end(samples, workload, setup_s, peak_rss)
-    detail.update({"samples_list": samples, "setup_probes": probes,
+def _report_timed(workload, samples, setups, own_setup_s, peak_rss):
+    values, detail = end_to_end(samples, setups, workload, peak_rss)
+    detail.update({"samples_list": samples, "setup_probes": setups,
                    "own_setup_s": own_setup_s})
-    detail["raw"]["setup_s"] = statistics.median(p for p, _ in probes)
-    print("  set-up probes (raw s, drift) "
-          + ", ".join(f"{p:.3f} {d:.3f}" for p, d in probes)
+    print("  set-up probes (raw s -> corrected s) "
+          + ", ".join(f"{s['setup_s']:.3f}->{s['corrected_s']:.3f}"
+                      for s in setups)
           + f"; this run's own set-up {own_setup_s:.3f} s")
     print(f"  mean drift factor {detail['drift_factor']:.4f}; raw "
           + ", ".join(f"{name} {value:.6g}"

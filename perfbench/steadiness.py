@@ -2,18 +2,18 @@
 
 Usage (from the root of a checkout)::
 
-    python3 perfbench/steadiness.py --runs 10 [--workload table-lr ...]
+    python3 perfbench/steadiness.py --runs 10 [--first-seed N] [--workload W]
 
 For every end-to-end metric it prints the median, the quartiles (as
 ``statistics.quantiles(values, n=4)`` gives them) and the spread — the
 distance between the quartiles as a share of the median — beside the
-metric's bound from ``BENCHMARK.json``.  The timing metrics are printed
-as reported (drift-corrected, see ``REFERENCE_PROBE_S`` in ``run.py``)
-and in raw seconds, with each run's drift factor.  It exits non-zero if
-a run fails, if a reported percentile sat in the gap between two request
+metric's bound from ``BENCHMARK.json``.  Each run lasts that file's
+``run_seconds``.  The timing metrics are printed as reported
+(drift-corrected, see ``REFERENCE_PROBE_S`` in ``run.py``) and in raw
+seconds, with each run's drift factor.  It exits non-zero if a run
+fails, if a reported percentile sat in the gap between two request
 classes, if ``latency_tail_s`` < ``latency_p50_s`` in any run, if the
-verdict shares differ between runs, or if a spread (``setup_s`` aside)
-exceeds its bound.
+verdict shares differ between runs, or if a spread exceeds its bound.
 """
 
 from __future__ import annotations
@@ -54,17 +54,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
     parser.add_argument("--workload", action="append",
                         choices=[w["name"] for w in spec["workloads"]])
     args = parser.parse_args(argv)
     problems = []
     for workload in args.workload or [w["name"] for w in spec["workloads"]]:
-        runs = [run_once(workload, seed, args.seconds)
+        runs = [run_once(workload, seed, spec["run_seconds"])
                 for seed in range(args.first_seed,
                                   args.first_seed + args.runs)]
         print(f"{workload}: {args.runs} runs, seeds {args.first_seed}.."
-              f"{args.first_seed + args.runs - 1}, {args.seconds} s each")
+              f"{args.first_seed + args.runs - 1}, {spec['run_seconds']} s each")
         print(f"  {'metric':<20} {'median':>11} {'q1':>11} {'q3':>11} "
               f"{'spread':>8} {'bound':>6}")
         for name in bounds:
@@ -73,7 +72,7 @@ def main(argv=None) -> int:
             q1, median, q3 = statistics.quantiles(values, n=4)
             spread = (q3 - q1) / median
             flag = ""
-            if name != "setup_s" and spread > bounds[name]:
+            if spread > bounds[name]:
                 flag = "  OVER BOUND"
                 problems.append(f"{workload}/{name}: spread {spread:.3f} "
                                 f"> bound {bounds[name]}")

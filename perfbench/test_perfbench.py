@@ -31,26 +31,25 @@ from perfbench.workloads import WORKLOADS, schedule  # noqa: E402
 RUN = [sys.executable, str(ROOT / "perfbench" / "run.py")]
 
 
-def _traced_fingerprint(workload: str, seed: int, requests: int) -> bytes:
+def _traced_fingerprint(workload: str, seed: int) -> bytes:
     completed = subprocess.run(
         RUN + ["--workload", workload, "--seed", str(seed), "--seconds", "1",
-               "--trace", "1", "--requests", str(requests)],
+               "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert completed.returncode == 0, completed.stderr
     result = json.loads(completed.stdout.strip().splitlines()[-1])
-    assert result["correct"] and result["attempted"] == requests
+    spec = WORKLOADS[workload]
+    assert result["correct"]
+    assert result["attempted"] == len(spec.pool()[::spec.traced_stride])
     return (ROOT / ".perfbench"
             / f"{workload}-seed{seed}-fingerprint.json").read_bytes()
 
 
-@pytest.mark.parametrize("workload, requests", [
-    ("table-lr", 4), ("dense-fo", 6), ("serve-triage", 24)])
-def test_traced_runs_of_one_seed_have_identical_fingerprints(workload,
-                                                             requests):
-    first = _traced_fingerprint(workload, 7, requests)
-    second = _traced_fingerprint(workload, 7, requests)
+@pytest.mark.parametrize("workload", ["table-lr", "dense-fo", "serve-triage"])
+def test_traced_runs_of_one_seed_have_identical_fingerprints(workload):
+    first = _traced_fingerprint(workload, 7)
+    second = _traced_fingerprint(workload, 7)
     assert first == second
-    assert len(json.loads(first)) == requests
 
 
 def test_oracle_matches_integer_multiplication():
@@ -77,7 +76,7 @@ def test_oracle_matches_integer_multiplication():
 
 
 def test_stream_is_a_seeded_order_of_a_fixed_pool():
-    pool, _ = WORKLOADS["dense-fo"].build()
+    pool = WORKLOADS["dense-fo"].pool()
     first = [r.rid for r in schedule(pool, 3, "dense-fo/1")]
     again = [r.rid for r in schedule(pool, 3, "dense-fo/1")]
     other = [r.rid for r in schedule(pool, 3, "dense-fo/2")]

@@ -44,11 +44,18 @@ class Workload:
     #: Decided requests slower than this (drift-corrected seconds) miss
     #: the workload's latency limit.
     latency_limit_s: float
-    #: Seconds one pass takes (raw, shared 2-vCPU x86-64 VM); sets the
-    #: passes per run, which must stay fixed for a given ``--seconds``.
+    #: Seconds one pass takes, speed probes included (raw, shared 2-vCPU
+    #: x86-64 VM); sets the passes per run, which must stay fixed for a
+    #: given ``--seconds``.
     nominal_pass_s: float
-    #: Builds ``(pool, warm-ups)``; warm-ups are one request per class.
-    build: Callable[[], tuple[list[Request], list[Request]]]
+    #: Builds the pool with its known answers (outside the set-up clock).
+    pool: Callable[[], list[Request]]
+    #: Builds the warm-ups: one small request per request class, sent
+    #: inside the set-up clock.
+    warmups: Callable[[], list[Request]]
+    #: The traced run sends every ``traced_stride``-th request of the pool
+    #: once, so it measures the same requests for every seed.
+    traced_stride: int = 1
 
     def passes(self, seconds: float) -> int:
         return max(1, round(seconds / self.nominal_pass_s))
@@ -60,7 +67,7 @@ def _row(architecture: str, width: int, method: str, budgets: dict) -> Request:
                              "method": method, "budgets": dict(budgets)})
 
 
-def build_table_lr():
+def table_lr_pool():
     """Table I and II at 32 bits under MT-LR, all verified.
 
     SP-AR-RC, the paper's reference architecture, is sent twice per pass:
@@ -70,8 +77,11 @@ def build_table_lr():
     pool = [_row(arch, 32, "mt-lr", {}) for arch in TABLE1 + TABLE2]
     pool.append(_row("SP-AR-RC", 32, "mt-lr", {}))
     pool[-1].rid += "#2"
-    warmups = [_row("BP-WT-CL", 8, "mt-lr", {})]
-    return pool, warmups
+    return pool
+
+
+def table_lr_warmups():
+    return [_row("BP-WT-CL", 8, "mt-lr", {})]
 
 
 #: Dense rows: (architecture, width, method); budget 300k monomials.  The
@@ -89,13 +99,15 @@ DENSE_ROWS = (
 DENSE_BUDGETS = {"monomial_budget": 300_000}
 
 
-def build_dense_fo():
+def dense_fo_pool():
     """MT-FO / MT-naive rows at 6-10 bits under a 300k monomial budget."""
-    pool = [_row(arch, width, method, DENSE_BUDGETS)
+    return [_row(arch, width, method, DENSE_BUDGETS)
             for arch, width, method in DENSE_ROWS]
-    warmups = [_row("SP-AR-RC", 5, "mt-fo", DENSE_BUDGETS),
-               _row("SP-AR-RC", 5, "mt-naive", DENSE_BUDGETS)]
-    return pool, warmups
+
+
+def dense_fo_warmups():
+    return [_row("SP-AR-RC", 5, "mt-fo", DENSE_BUDGETS),
+            _row("SP-AR-RC", 5, "mt-naive", DENSE_BUDGETS)]
 
 
 SERVE_BUDGETS = {"monomial_budget": 100_000}
@@ -127,7 +139,7 @@ def _verilog_request(rid: str, text: str, width: int,
                    circuit=circuit)
 
 
-def build_serve_triage():
+def serve_triage_pool():
     """A triage stream: 8-bit multipliers, most with one faulty gate.
 
     Per architecture, ``MUTANTS_PER_ARCHITECTURE`` single-gate mutants
@@ -148,20 +160,29 @@ def build_serve_triage():
     for arch, width in CERTIFICATE_ROWS:
         pool.append(_verilog_request(f"{arch}-{width}/certificate",
                                      _verilog(arch, width), width, True))
+    return pool
+
+
+def serve_triage_warmups():
     warm = _verilog("SP-AR-RC", 4)
     (_, mutated), = oracle.mutants(warm, 1, "warm-up")
-    warmups = [_verilog_request("warm-up/mutant", mutated, 4, False),
-               _verilog_request("warm-up/certificate", warm, 4, True)]
-    return pool, warmups
+    return [_verilog_request("warm-up/mutant", mutated, 4, False),
+            _verilog_request("warm-up/certificate", warm, 4, True)]
 
 
 WORKLOADS = {
     "table-lr": Workload("table-lr", "inprocess", latency_limit_s=2.0,
-                         nominal_pass_s=6.6, build=build_table_lr),
+                         nominal_pass_s=6.0, pool=table_lr_pool,
+                         warmups=table_lr_warmups),
     "dense-fo": Workload("dense-fo", "inprocess", latency_limit_s=3.0,
-                         nominal_pass_s=11.1, build=build_dense_fo),
+                         nominal_pass_s=10.0, pool=dense_fo_pool,
+                         warmups=dense_fo_warmups),
+    # Its traced run sends each request over HTTP and twice in-process,
+    # so it traces half the pool: four of the eight requests of every
+    # architecture and five of the ten certificate rows.
     "serve-triage": Workload("serve-triage", "http", latency_limit_s=4.0,
-                             nominal_pass_s=41.0, build=build_serve_triage),
+                             nominal_pass_s=31.0, pool=serve_triage_pool,
+                             warmups=serve_triage_warmups, traced_stride=2),
 }
 
 
