@@ -26,16 +26,16 @@ from repro.errors import VerificationError
 #: Version of the report JSON schema (see ``repro/api/__init__.py``).
 #: Version 3 added the ``certificate`` and ``cross_check`` fields;
 #: version 4 added the ``attempts`` retry/fallback history; version 5
-#: added the ``incremental`` cone-level counters of the per-cone
-#: proof-reuse path (:mod:`repro.incremental`).
-REPORT_SCHEMA = 5
+#: added the ``incremental`` cone-level counters of the since-removed
+#: per-cone proof-reuse path; version 6 drops them again.
+REPORT_SCHEMA = 6
 
 #: Older schema versions :meth:`VerificationReport.from_dict` still parses.
 #: Versions 1 and 2 carried the same keys minus ``certificate`` and
 #: ``cross_check``; version 3 additionally lacked ``attempts``; version 4
-#: additionally lacked ``incremental``.  All four parse with the missing
-#: fields as ``None``.
-LEGACY_REPORT_SCHEMAS = (1, 2, 3, 4)
+#: carried no ``incremental`` field and version 5 carried one, which is
+#: parsed and ignored.  All five parse with the missing fields as ``None``.
+LEGACY_REPORT_SCHEMAS = (1, 2, 3, 4, 5)
 
 #: Verdicts a report can carry.
 VERDICTS = ("verified", "refuted", "budget", "not_applicable", "error")
@@ -66,7 +66,6 @@ EXIT_CODES = {
 _ROW_BASE_KEYS = frozenset((
     "architecture", "width", "method", "status", "time", "time_s",
     "verified", "reason", "certificate", "cross_check", "attempts",
-    "incremental",
 ))
 
 
@@ -119,12 +118,6 @@ class VerificationReport:
     #: attempt when the run needed more than one, ``None`` on the common
     #: first-attempt-succeeded path so resilience-off output is unchanged.
     attempts: list | None = None
-    #: Cone-level counters of the incremental path (``repro.incremental``):
-    #: ``cones`` / ``replayed_cones`` / ``reduced_cones`` / ``cache_hits``
-    #: / ``cache_misses``.  ``None`` on from-scratch runs, so
-    #: incremental-off output is byte-identical to a schema-4 report apart
-    #: from the version number.
-    incremental: dict | None = None
     #: The wrapped backend result object (in-process runs only; never
     #: serialized — ``from_json`` reports carry ``None``).
     result: Any = field(default=None, repr=False, compare=False)
@@ -182,7 +175,6 @@ class VerificationReport:
             "certificate": self.certificate,
             "cross_check": self.cross_check,
             "attempts": self.attempts,
-            "incremental": self.incremental,
         }
 
     def to_json(self, indent: int | None = None) -> str:
@@ -222,9 +214,7 @@ class VerificationReport:
             certificate=document.get("certificate"),
             cross_check=document.get("cross_check"),
             attempts=list(document["attempts"])
-            if document.get("attempts") is not None else None,
-            incremental=dict(document["incremental"])
-            if document.get("incremental") is not None else None)
+            if document.get("attempts") is not None else None)
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
@@ -257,8 +247,6 @@ class VerificationReport:
             row["cross_check"] = self.cross_check
         if self.attempts is not None:
             row["attempts"] = self.attempts
-        if self.incremental is not None:
-            row["incremental"] = self.incremental
         row.update(self.counters)
         return row
 
@@ -286,8 +274,7 @@ class VerificationReport:
             counters=counters,
             certificate=row.get("certificate"),
             cross_check=row.get("cross_check"),
-            attempts=row.get("attempts"),
-            incremental=row.get("incremental"))
+            attempts=row.get("attempts"))
 
     # -- backend-result constructors -------------------------------------------
 

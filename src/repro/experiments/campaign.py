@@ -3,14 +3,11 @@
 A campaign enumerates every single-gate mutation
 (:func:`repro.circuit.mutate.list_mutations`) over an architecture×width
 grid, verifies each mutant through
-:class:`~repro.api.service.VerificationService` on the incremental per-cone
-path with one shared :class:`~repro.incremental.cache.ConeCache`, and emits
-one JSON-lines row per mutant.  Consecutive mutants of one circuit differ
-in a single gate, so after the first few rows almost every cone replays
-from the cache — the workload the ROADMAP's per-cone proof reuse exists
-for.  A sampled subset of rows is additionally re-verified from scratch
-(``cross_check``), pinning the incremental path to the differential
-reference.
+:class:`~repro.api.service.VerificationService`, and emits one JSON-lines
+row per mutant.  A seeded subset of rows is additionally re-verified by the
+``sat-cec`` miter baseline (``cross_check``), which shares no code with the
+algebraic engine, so a wrong verdict class on either side shows up as a
+disagreement.
 
 Rows are appended and flushed one by one, so an interrupted campaign
 resumes (``resume=True``) executing only the unfinished mutants.
@@ -28,6 +25,10 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.api.request import Budgets, VerificationRequest
+from repro.api.service import VerificationService
+
+#: Backend that re-verifies the cross-check sample.
+CROSS_CHECK_METHOD = "sat-cec"
 
 #: Worker-process state built once per worker by :func:`_init_worker`.
 _WORKER = {}
@@ -79,23 +80,15 @@ def enumerate_tasks(architectures: Sequence[str], widths: Sequence[int],
     return tasks
 
 
-def _build_service(method: str, budgets: Budgets,
-                   cone_cache_dir: str | None):
-    from repro.api.service import VerificationService
-    return VerificationService(budgets=budgets,
-                               cone_cache_dir=cone_cache_dir)
-
-
-def _init_worker(method: str, budgets: Budgets,
-                 cone_cache_dir: str | None) -> None:
-    _WORKER["service"] = _build_service(method, budgets, cone_cache_dir)
+def _init_worker(method: str, budgets: Budgets) -> None:
+    _WORKER["service"] = VerificationService(budgets=budgets)
     _WORKER["method"] = method
     _WORKER["budgets"] = budgets
 
 
 def _execute_task(service, task: CampaignTask, method: str,
                   budgets: Budgets, cross_check: bool) -> dict:
-    """Verify one campaign cell incrementally; optionally cross-check."""
+    """Verify one campaign cell; optionally cross-check it with SAT."""
     from repro.circuit.mutate import apply_mutation, list_mutations
     from repro.generators.multipliers import generate_multiplier
 
@@ -105,8 +98,7 @@ def _execute_task(service, task: CampaignTask, method: str,
         mutation = list_mutations(netlist)[task.index]
         netlist = apply_mutation(netlist, mutation)
     request = VerificationRequest.from_netlist(
-        netlist, method=method, budgets=budgets,
-        find_counterexample=False, incremental=True)
+        netlist, method=method, budgets=budgets, find_counterexample=False)
     report = service.submit(request)
     row = {
         "id": task.id,
@@ -116,14 +108,20 @@ def _execute_task(service, task: CampaignTask, method: str,
         "verdict": report.verdict,
         "status": report.status,
         "time_s": report.time_s,
-        "incremental": report.incremental,
     }
     if cross_check:
         reference = service.submit(
-            dataclasses.replace(request, incremental=False))
+            dataclasses.replace(request, method=CROSS_CHECK_METHOD))
+        decided = ("verified", "refuted")
+        # A budget trip on either side decides nothing, so it neither
+        # agrees nor disagrees.
+        agrees = (reference.verdict == report.verdict
+                  if reference.verdict in decided
+                  and report.verdict in decided else None)
         row["cross_check"] = {
+            "method": CROSS_CHECK_METHOD,
             "verdict": reference.verdict,
-            "agrees": reference.verdict == report.verdict,
+            "agrees": agrees,
         }
     return row
 
@@ -153,7 +151,6 @@ def _finished_ids(out_path: Path) -> set[str]:
 def run_campaign(architectures: Sequence[str], widths: Sequence[int],
                  method: str = "mt-lr", *,
                  budgets: Budgets | None = None,
-                 cone_cache_dir: str | None = None,
                  out_path: str | Path | None = None,
                  resume: bool = False,
                  sample: int | None = None,
@@ -167,10 +164,9 @@ def run_campaign(architectures: Sequence[str], widths: Sequence[int],
     One JSONL row per task is appended to ``out_path`` (when given) as it
     completes; with ``resume=True`` tasks whose id already appears there
     are skipped.  ``cross_check`` picks that many mutant rows (seeded) to
-    re-verify from scratch, asserting verdict agreement row by row.  With
-    ``jobs > 1`` the tasks fan across worker processes that share the
-    on-disk cone cache (entries publish atomically, so concurrent writers
-    are safe).
+    re-verify with :data:`CROSS_CHECK_METHOD`, recording verdict
+    agreement row by row.  With ``jobs > 1`` the tasks fan across worker
+    processes; rows still arrive in task order.
     """
     if budgets is None:
         budgets = Budgets()
@@ -190,7 +186,6 @@ def run_campaign(architectures: Sequence[str], widths: Sequence[int],
         tasks = pending
 
     verdicts: dict[str, int] = {}
-    hits = misses = 0
     cross_checked = disagreements = 0
     out_file = None
     if out_path is not None:
@@ -206,15 +201,12 @@ def run_campaign(architectures: Sequence[str], widths: Sequence[int],
                     out_file.write("\n")
 
     def consume(row: dict) -> None:
-        nonlocal hits, misses, cross_checked, disagreements
+        nonlocal cross_checked, disagreements
         verdicts[row["verdict"]] = verdicts.get(row["verdict"], 0) + 1
-        counters = row.get("incremental") or {}
-        hits += counters.get("cache_hits", 0)
-        misses += counters.get("cache_misses", 0)
         check = row.get("cross_check")
         if check is not None:
             cross_checked += 1
-            if not check["agrees"]:
+            if check["agrees"] is False:
                 disagreements += 1
         if out_file is not None:
             out_file.write(json.dumps(row, separators=(",", ":")) + "\n")
@@ -227,19 +219,17 @@ def run_campaign(architectures: Sequence[str], widths: Sequence[int],
         if jobs > 1 and len(work) > 1:
             context = multiprocessing.get_context()
             with context.Pool(jobs, initializer=_init_worker,
-                              initargs=(method, budgets,
-                                        cone_cache_dir)) as pool:
+                              initargs=(method, budgets)) as pool:
                 for row in pool.imap(_pool_task, work):
                     consume(row)
         else:
-            service = _build_service(method, budgets, cone_cache_dir)
+            service = VerificationService(budgets=budgets)
             for task, check in work:
                 consume(_execute_task(service, task, method, budgets, check))
     finally:
         if out_file is not None:
             out_file.close()
 
-    total_cones = hits + misses
     return {
         "method": method,
         "seed": seed,
@@ -247,11 +237,6 @@ def run_campaign(architectures: Sequence[str], widths: Sequence[int],
         "executed": len(tasks),
         "skipped": skipped,
         "verdicts": verdicts,
-        "cone_cache": {
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": (hits / total_cones) if total_cones else 0.0,
-        },
         "cross_checked": cross_checked,
         "cross_check_disagreements": disagreements,
         "out": str(out_path) if out_path is not None else None,

@@ -82,7 +82,7 @@ def test_json_roundtrip_is_byte_identical():
                               "circuit", "width", "specification", "time",
                               "time_s", "reason", "counterexample",
                               "remainder", "counters", "certificate",
-                              "cross_check", "attempts", "incremental"]
+                              "cross_check", "attempts"]
 
 
 def test_verdict_status_and_exit_code_mapping():
@@ -141,6 +141,19 @@ def test_from_json_accepts_legacy_schemas():
         assert revived.cross_check is None
         # Re-serialization upgrades to the current schema.
         assert revived.to_dict()["schema"] == REPORT_SCHEMA
+
+
+def test_schema_5_incremental_block_is_parsed_and_ignored():
+    """Schema-5 documents carry an ``incremental`` key; it is dropped."""
+    row = run_membership_testing("SP-AR-RC", 3, "mt-lr", CONFIG)
+    current = VerificationReport.from_row(row).to_dict()
+    for block in (None, {"cones": 6, "replayed_cones": 0,
+                         "reduced_cones": 6, "cache_hits": 0,
+                         "cache_misses": 6}):
+        document = dict(current, schema=5, incremental=block)
+        revived = VerificationReport.from_dict(json.loads(json.dumps(document)))
+        assert revived.verdict == "verified"
+        assert revived.to_dict() == current
 
 
 def test_refuted_report_carries_remainder_and_counterexample():

@@ -71,18 +71,14 @@ def test_verdict_parity_grid_on_injected_bug(service, architecture):
     assert set(verdicts.values()) == {"refuted"}, verdicts
 
 
-def test_deprecation_shim_pins_old_kwargs_to_new_pipeline(service):
-    """`verify(**kwargs)` must reproduce the service pipeline's results."""
+def test_engine_verify_pins_to_the_service_pipeline(service):
+    """`verify(budgets=...)` must reproduce the service pipeline's results."""
     netlist = generate_multiplier("SP-CT-BK", 4)
-    with pytest.warns(DeprecationWarning, match="budget keyword arguments"):
-        old = verify(netlist, method="mt-lr", monomial_budget=100_000,
-                     time_budget_s=60.0, vanishing_cache_limit=4096,
-                     counterexample_tries=16, seed=7)
+    budgets = Budgets(monomial_budget=100_000, time_budget_s=60.0,
+                      vanishing_cache_limit=4096, counterexample_tries=16)
+    old = verify(netlist, method="mt-lr", budgets=budgets, seed=7)
     new = service.submit(VerificationRequest.from_netlist(
-        netlist, method="mt-lr",
-        budgets=Budgets(monomial_budget=100_000, time_budget_s=60.0,
-                        vanishing_cache_limit=4096, counterexample_tries=16),
-        seed=7))
+        netlist, method="mt-lr", budgets=budgets, seed=7))
     assert new.verdict == "verified"
     assert old.verified is True
     fresh = VerificationReport.from_result(old, circuit="SP-CT-BK", width=4)
@@ -93,7 +89,7 @@ def test_deprecation_shim_pins_old_kwargs_to_new_pipeline(service):
 
     assert deterministic(fresh.counters) == deterministic(new.counters)
     assert fresh.verdict == new.verdict
-    # The shim also accepts a ready Budgets object directly.
+    # Budgets that do not bind leave the counters unchanged.
     via_budgets = verify(netlist, method="mt-lr",
                          budgets=Budgets(monomial_budget=100_000))
     assert via_budgets.verified is True

@@ -58,3 +58,36 @@ def test_cycle_detection_in_topological_sort():
     netlist._gates["y"] = Gate(output="y", gate_type=GateType.NOT, inputs=("x",))
     with pytest.raises(CircuitError):
         topological_signals(netlist)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_analyses_are_consistent_on_random_dags(random_dag, seed):
+    netlist = random_dag(seed)
+    order = topological_signals(netlist)
+    assert sorted(order) == sorted(netlist.signals())
+    position = {signal: i for i, signal in enumerate(order)}
+    levels = signal_levels(netlist)
+    reads = {signal: 0 for signal in netlist.signals()}
+    for gate in netlist.gates():
+        for source in gate.inputs:
+            assert position[source] < position[gate.output]
+            reads[source] += 1
+        assert levels[gate.output] == \
+            1 + max(levels[source] for source in gate.inputs)
+    assert all(levels[name] == 0 for name in netlist.inputs)
+    assert circuit_depth(netlist) == max(levels.values())
+
+    for output in netlist.outputs:
+        reads[output] += 1
+    assert fanout_counts(netlist) == reads
+    assert multi_fanout_signals(netlist) == \
+        {signal for signal, count in reads.items() if count > 1}
+
+    cone = transitive_fanin(netlist, netlist.outputs)
+    for signal in cone:
+        if not netlist.is_input(signal):
+            assert set(netlist.gate_of(signal).inputs) <= cone
+    for output in netlist.outputs:
+        assert input_support(netlist, output) == {
+            signal for signal in transitive_fanin(netlist, [output])
+            if netlist.is_input(signal)}

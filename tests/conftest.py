@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.circuit.netlist import Netlist
+from repro.circuit.netlist import GateType, Netlist
 
 
 @pytest.fixture
@@ -34,3 +36,33 @@ def tiny_and_netlist() -> Netlist:
     netlist.and_(a, b, "z")
     netlist.add_output("z")
     return netlist
+
+
+def _random_dag(seed: int) -> Netlist:
+    """A seeded random gate DAG with several outputs and some dead gates.
+
+    Operands of one gate are distinct, as in every generated circuit.
+    """
+    rng = random.Random(seed)
+    netlist = Netlist(f"dag{seed}")
+    signals = [netlist.add_input(f"i{n}") for n in range(rng.randint(3, 6))]
+    binary = (GateType.AND, GateType.OR, GateType.XOR, GateType.NAND,
+              GateType.NOR, GateType.XNOR)
+    for n in range(rng.randint(8, 40)):
+        if rng.random() < 0.2:
+            kind, fanin = rng.choice((GateType.NOT, GateType.BUF)), 1
+        else:
+            kind, fanin = rng.choice(binary), 2
+        inputs = rng.sample(signals, fanin)
+        signals.append(netlist.add_gate(kind, inputs, f"g{n}"))
+    gate_signals = [s for s in signals if not netlist.is_input(s)]
+    for signal in rng.sample(gate_signals, max(1, len(gate_signals) // 3)):
+        netlist.add_output(signal)
+    netlist.validate()
+    return netlist
+
+
+@pytest.fixture
+def random_dag():
+    """Builder of seeded random multi-output gate DAGs: ``random_dag(seed)``."""
+    return _random_dag

@@ -81,6 +81,36 @@ def test_tampered_verdict_fails_the_checksum(config, tmp_path):
     assert not _entries(cache.directory)
 
 
+@pytest.mark.parametrize("tamper", [
+    lambda document: document["report"].update(schema=99),
+    lambda document: document["report"].update(verdict="maybe"),
+    lambda document: document["report"].update(status="mismatch"),
+    lambda document: document.pop("report"),
+    lambda document: document.update(sha256="0" * 64),
+], ids=["schema-mismatch", "unknown-verdict", "flipped-status",
+        "missing-report", "stale-checksum"])
+def test_tampered_entry_is_quarantined_and_recomputed(config, tmp_path,
+                                                      tamper):
+    """Any tampered entry reads as a miss and is republished clean."""
+    cache_dir = tmp_path / "cache"
+    grid = ParallelRunner.catalog(["SP-AR-RC"], config.widths, ["mt-lr"])
+    first = ParallelRunner(config, workers=1, cache_dir=cache_dir).run(grid)
+    [entry] = [cache_dir / name for name in _entries(cache_dir)]
+    document = json.loads(entry.read_text(encoding="utf-8"))
+    tamper(document)
+    entry.write_text(json.dumps(document), encoding="utf-8")
+
+    runner = ParallelRunner(config, workers=1, cache_dir=cache_dir)
+    assert stable(runner.run(grid)) == stable(first)
+    assert runner.last_cache_hits == 0
+    assert runner.last_executed == 1
+    assert _quarantined(cache_dir) == [entry.name + ".quarantined"]
+
+    runner = ParallelRunner(config, workers=1, cache_dir=cache_dir)
+    assert stable(runner.run(grid)) == stable(first)
+    assert runner.last_cache_hits == 1
+
+
 def test_unreadable_garbage_entry_is_a_miss(config, tmp_path):
     cache = ResultCache(tmp_path / "cache")
     job = VerificationJob("SP-AR-RC", 4, "mt-lr")

@@ -66,6 +66,8 @@ def test_wire_keys_track_the_request_and_budget_dataclasses():
      "unsupported_field"),
     ({"verilog_path": "/etc/passwd"}, "unsupported_field"),
     ({"architecture": "SP-AR-RC", "width": 4, "bogus": 1}, "unknown_field"),
+    ({"architecture": "SP-AR-RC", "width": 4, "incremental": True},
+     "unknown_field"),
     ({"architecture": "SP-AR-RC", "width": 4, "budgets": 7}, "bad_request"),
     ({"architecture": "SP-AR-RC", "width": 4,
       "budgets": {"nope": 1}}, "unknown_field"),

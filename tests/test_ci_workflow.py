@@ -144,24 +144,22 @@ def test_fleet_job_checks_parity_steals_and_cache(workflow):
     assert "executed=0" in commands
 
 
-def test_campaign_job_reruns_against_one_cone_cache(workflow):
-    """Seeded mutation campaign, twice, with reuse and parity gates.
+def test_campaign_job_reruns_with_a_sat_cross_check(workflow):
+    """Seeded mutation campaign, twice, with cross-check and parity gates.
 
     The campaign gate must (a) run ``repro-verify campaign`` twice with
-    the same seed against one shared ``--cone-cache`` directory, (b)
-    cross-check a seeded mutant subset from scratch (the command exits 1
-    itself on a verdict disagreement), (c) assert the second run's cone
-    hit rate is at least 0.9, and (d) byte-diff the extracted
-    (id, verdict) columns of the two runs.
+    the same seed, (b) cross-check a seeded mutant subset with the SAT
+    baseline (the command exits 1 itself on a verdict disagreement),
+    (c) assert all 25 cross-checks ran with no disagreement, and (d)
+    byte-diff the extracted (id, verdict) columns of the two runs.
     """
     commands = " ".join(step.get("run", "")
                         for step in workflow["jobs"]["campaign"]["steps"])
     assert commands.count("repro-verify campaign") >= 2
-    assert "--cone-cache" in commands
-    assert "--cross-check" in commands
+    assert "--cross-check 25" in commands
     assert commands.count("--seed 7") >= 2
-    assert "hit_rate" in commands
-    assert ">= 0.9" in commands
+    assert 'summary["cross_checked"] == 25' in commands
+    assert 'summary["cross_check_disagreements"] == 0' in commands
     assert "diff verdicts1.txt verdicts2.txt" in commands
 
 

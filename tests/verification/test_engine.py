@@ -59,15 +59,36 @@ def test_buggy_multiplier_is_rejected_with_counterexample():
     assert product != (a_val * b_val) % 64
 
 
-def test_every_observable_single_gate_fault_is_detected():
-    """Completeness on a small multiplier: MT-LR flags exactly the real bugs."""
-    netlist = generate_multiplier("SP-AR-RC", 2)
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_every_observable_single_gate_fault_is_detected(width):
+    """Completeness: MT-LR flags exactly the real bugs.
+
+    At 4 bits this is the 260-mutant sweep of SP-AR-RC, each verdict
+    checked against exhaustive simulation.
+    """
+    netlist = generate_multiplier("SP-AR-RC", width)
+    mutations = list_mutations(netlist)
+    if width == 4:
+        assert len(mutations) == 260, "catalog slice changed size"
+    for mutation in mutations:
+        buggy = apply_mutation(netlist, mutation)
+        functionally_correct, _ = exhaustive_check(
+            buggy, lambda a, b: a * b, ["a", "b"], [width, width])
+        result = verify_multiplier(buggy, method="mt-lr",
+                                   find_counterexample=False)
+        assert result.verified == functionally_correct, mutation.describe()
+
+
+@pytest.mark.parametrize("kind", ["RC", "CL", "KS", "BK", "HC"])
+def test_every_observable_single_gate_adder_fault_is_detected(kind):
+    """Completeness on adders: each 4-bit mutant's verdict matches simulation."""
+    netlist = generate_adder(kind, 4)
     for mutation in list_mutations(netlist):
         buggy = apply_mutation(netlist, mutation)
         functionally_correct, _ = exhaustive_check(
-            buggy, lambda a, b: a * b, ["a", "b"], [2, 2])
-        result = verify_multiplier(buggy, method="mt-lr",
-                                   find_counterexample=False)
+            buggy, lambda a, b: a + b, ["a", "b"], [4, 4])
+        result = verify_adder(buggy, method="mt-lr",
+                              find_counterexample=False)
         assert result.verified == functionally_correct, mutation.describe()
 
 
